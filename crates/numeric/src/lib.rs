@@ -25,6 +25,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod complex;
 pub mod diag;
 pub mod interp;

@@ -395,9 +395,7 @@ impl ServiceClient {
                 None => return Err(ServiceError::Wire(crate::wire::WireError::Truncated)),
             };
             match Response::decode(&payload)? {
-                // Servers batch the drain into one `Reports` frame; the
-                // per-stage `Report` arm stays for older peers and for
-                // coordinators that stream as shards finish.
+                // Both servers answer the drain with one `Reports` frame.
                 Response::Reports { reports } => {
                     for (index, outcome) in reports {
                         self.collected.insert(
@@ -405,12 +403,6 @@ impl ServiceClient {
                             outcome.map_err(|(code, message)| ServiceError::remote(code, message)),
                         );
                     }
-                }
-                Response::Report { index, outcome } => {
-                    self.collected.insert(
-                        index,
-                        outcome.map_err(|(code, message)| ServiceError::remote(code, message)),
-                    );
                 }
                 Response::Done { .. } => break,
                 Response::Error { code, message } => {

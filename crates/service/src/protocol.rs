@@ -15,7 +15,9 @@
 //! unrepresentable on the wire, and the server validates indices against the
 //! session it owns.
 
-use crate::wire::{Decoder, Encoder, WireError};
+use rlc_numeric::codec::{fnv, ByteReader, ByteWriter};
+
+use crate::wire::WireError;
 
 /// Session options a client carries across the wire when opening a session
 /// ([`Request::Hello`]). The deadline is a *duration* (nanoseconds) measured
@@ -45,7 +47,7 @@ impl WireSessionOptions {
         }
     }
 
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut ByteWriter) {
         match self.timeout_nanos {
             None => e.bool(false),
             Some(nanos) => {
@@ -57,7 +59,7 @@ impl WireSessionOptions {
         e.bool(self.sampled_handoff);
     }
 
-    fn decode(d: &mut Decoder) -> Option<Self> {
+    fn decode(d: &mut ByteReader) -> Option<Self> {
         let timeout_nanos = if d.bool()? { Some(d.u64()?) } else { None };
         Some(WireSessionOptions {
             timeout_nanos,
@@ -89,7 +91,7 @@ pub enum WireCellRef {
 }
 
 impl WireCellRef {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut ByteWriter) {
         match self {
             WireCellRef::Characterize { size } => {
                 e.u8(0);
@@ -106,7 +108,7 @@ impl WireCellRef {
         }
     }
 
-    fn decode(d: &mut Decoder) -> Option<Self> {
+    fn decode(d: &mut ByteReader) -> Option<Self> {
         match d.u8()? {
             0 => Some(WireCellRef::Characterize { size: d.f64()? }),
             1 => Some(WireCellRef::Synthetic {
@@ -133,14 +135,14 @@ pub struct WireLine {
 }
 
 impl WireLine {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut ByteWriter) {
         e.f64(self.resistance);
         e.f64(self.inductance);
         e.f64(self.capacitance);
         e.f64(self.length);
     }
 
-    fn decode(d: &mut Decoder) -> Option<Self> {
+    fn decode(d: &mut ByteReader) -> Option<Self> {
         Some(WireLine {
             resistance: d.f64()?,
             inductance: d.f64()?,
@@ -179,14 +181,14 @@ pub struct WireAggressor {
 }
 
 impl WireAggressor {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut ByteWriter) {
         e.u8(self.switching);
         e.f64(self.slew);
         e.f64(self.delay);
         e.f64(self.amplitude);
     }
 
-    fn decode(d: &mut Decoder) -> Option<Self> {
+    fn decode(d: &mut ByteReader) -> Option<Self> {
         Some(WireAggressor {
             switching: d.u8()?,
             slew: d.f64()?,
@@ -246,7 +248,7 @@ pub enum WireLoad {
 }
 
 impl WireLoad {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut ByteWriter) {
         match self {
             WireLoad::Lumped { c } => {
                 e.u8(0);
@@ -283,7 +285,7 @@ impl WireLoad {
                         None => e.bool(false),
                         Some((name, c_load)) => {
                             e.bool(true);
-                            e.string(name);
+                            e.str(name);
                             e.f64(*c_load);
                         }
                     }
@@ -310,7 +312,7 @@ impl WireLoad {
         }
     }
 
-    fn decode(d: &mut Decoder) -> Option<Self> {
+    fn decode(d: &mut ByteReader) -> Option<Self> {
         match d.u8()? {
             0 => Some(WireLoad::Lumped { c: d.f64()? }),
             1 => Some(WireLoad::Pi {
@@ -332,7 +334,7 @@ impl WireLoad {
                     let parent = if d.bool()? { Some(d.u64()?) } else { None };
                     let line = WireLine::decode(d)?;
                     let sink = if d.bool()? {
-                        Some((d.string()?, d.f64()?))
+                        Some((d.str()?, d.f64()?))
                     } else {
                         None
                     };
@@ -390,7 +392,7 @@ impl WireInput {
         }
     }
 
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut ByteWriter) {
         match self {
             WireInput::Event { slew, delay } => {
                 e.u8(0);
@@ -410,12 +412,12 @@ impl WireInput {
             WireInput::FromSink { producer, sink } => {
                 e.u8(2);
                 e.u64(*producer);
-                e.string(sink);
+                e.str(sink);
             }
         }
     }
 
-    fn decode(d: &mut Decoder) -> Option<Self> {
+    fn decode(d: &mut ByteReader) -> Option<Self> {
         match d.u8()? {
             0 => {
                 let slew = d.f64()?;
@@ -425,7 +427,7 @@ impl WireInput {
             1 => Some(WireInput::FromFarEnd { producer: d.u64()? }),
             2 => Some(WireInput::FromSink {
                 producer: d.u64()?,
-                sink: d.string()?,
+                sink: d.str()?,
             }),
             _ => None,
         }
@@ -479,12 +481,12 @@ impl WireStage {
         self.input.producer().is_none() && self.after.is_empty()
     }
 
-    fn encode(&self, e: &mut Encoder) {
-        e.string(&self.label);
+    fn encode(&self, e: &mut ByteWriter) {
+        e.str(&self.label);
         self.cell.encode(e);
         self.load.encode(e);
         self.input.encode(e);
-        e.u64_slice(&self.after);
+        e.u64s(&self.after);
         e.u8(match self.backend {
             WireBackend::Default => 0,
             WireBackend::Analytic => 1,
@@ -492,13 +494,13 @@ impl WireStage {
         });
     }
 
-    fn decode(d: &mut Decoder) -> Option<Self> {
+    fn decode(d: &mut ByteReader) -> Option<Self> {
         Some(WireStage {
-            label: d.string()?,
+            label: d.str()?,
             cell: WireCellRef::decode(d)?,
             load: WireLoad::decode(d)?,
             input: WireInput::decode(d)?,
-            after: d.u64_vec()?,
+            after: d.u64s()?,
             backend: match d.u8()? {
                 0 => WireBackend::Default,
                 1 => WireBackend::Analytic,
@@ -512,10 +514,10 @@ impl WireStage {
     /// description, so stages of the same net/cell land on the same shard
     /// (and share its in-process characterization).
     pub fn routing_key(&self) -> u64 {
-        let mut e = Encoder::new();
+        let mut e = ByteWriter::new();
         self.cell.encode(&mut e);
         self.load.encode(&mut e);
-        crate::wire::fnv(&e.0)
+        fnv(&e.finish())
     }
 }
 
@@ -543,9 +545,9 @@ pub struct WireReport {
 }
 
 impl WireReport {
-    fn encode(&self, e: &mut Encoder) {
-        e.string(&self.label);
-        e.string(&self.backend);
+    fn encode(&self, e: &mut ByteWriter) {
+        e.str(&self.label);
+        e.str(&self.backend);
         e.f64(self.delay);
         e.f64(self.slew);
         e.f64(self.input_t50);
@@ -554,10 +556,10 @@ impl WireReport {
         e.f64(self.elapsed_seconds);
     }
 
-    fn decode(d: &mut Decoder) -> Option<Self> {
+    fn decode(d: &mut ByteReader) -> Option<Self> {
         Some(WireReport {
-            label: d.string()?,
-            backend: d.string()?,
+            label: d.str()?,
+            backend: d.str()?,
             delay: d.f64()?,
             slew: d.f64()?,
             input_t50: d.f64()?,
@@ -586,15 +588,15 @@ pub struct WireDiagnostic {
 }
 
 impl WireDiagnostic {
-    fn encode(&self, e: &mut Encoder) {
-        e.string(&self.code);
+    fn encode(&self, e: &mut ByteWriter) {
+        e.str(&self.code);
         e.u8(self.severity);
-        e.string(&self.locus);
-        e.string(&self.message);
+        e.str(&self.locus);
+        e.str(&self.message);
     }
 
-    fn decode(d: &mut Decoder) -> Option<Self> {
-        let code = d.string()?;
+    fn decode(d: &mut ByteReader) -> Option<Self> {
+        let code = d.str()?;
         let severity = d.u8()?;
         if severity > 2 {
             return None;
@@ -602,8 +604,8 @@ impl WireDiagnostic {
         Some(WireDiagnostic {
             code,
             severity,
-            locus: d.string()?,
-            message: d.string()?,
+            locus: d.str()?,
+            message: d.str()?,
         })
     }
 }
@@ -612,7 +614,7 @@ impl WireDiagnostic {
 /// plus the error's display string.
 pub type WireOutcome = Result<WireReport, (u16, String)>;
 
-fn encode_outcome(outcome: &WireOutcome, e: &mut Encoder) {
+fn encode_outcome(outcome: &WireOutcome, e: &mut ByteWriter) {
     match outcome {
         Ok(report) => {
             e.bool(true);
@@ -621,16 +623,16 @@ fn encode_outcome(outcome: &WireOutcome, e: &mut Encoder) {
         Err((code, message)) => {
             e.bool(false);
             e.u16(*code);
-            e.string(message);
+            e.str(message);
         }
     }
 }
 
-fn decode_outcome(d: &mut Decoder) -> Option<WireOutcome> {
+fn decode_outcome(d: &mut ByteReader) -> Option<WireOutcome> {
     if d.bool()? {
         Some(Ok(WireReport::decode(d)?))
     } else {
-        Some(Err((d.u16()?, d.string()?)))
+        Some(Err((d.u16()?, d.str()?)))
     }
 }
 
@@ -657,8 +659,9 @@ pub enum Request {
     /// coordinator uses to multiplex one client across many workers without
     /// parking a thread per shard.
     PollReport,
-    /// Streams every not-yet-reported outcome as [`Response::Report`]
-    /// frames, then [`Response::Done`].
+    /// Waits for every accepted submission, then replies with one
+    /// [`Response::Reports`] frame carrying every not-yet-reported outcome,
+    /// followed by [`Response::Done`].
     WaitAll,
     /// Cancels everything that has not started running. Replies
     /// [`Response::CancelAck`]; cancelled stages still produce their typed
@@ -681,7 +684,7 @@ pub enum Request {
 impl Request {
     /// Encodes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut e = ByteWriter::new();
         match self {
             Request::Hello { options } => {
                 e.u8(1);
@@ -702,7 +705,7 @@ impl Request {
                 stage.encode(&mut e);
             }
         }
-        e.0
+        e.finish()
     }
 
     /// Decodes a frame payload as a request.
@@ -711,7 +714,7 @@ impl Request {
     /// [`WireError::Malformed`] on an unknown tag, a short payload, or
     /// trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        let mut d = Decoder::new(payload);
+        let mut d = ByteReader::new(payload);
         let request = (|| {
             let request = match d.u8()? {
                 1 => Request::Hello {
@@ -762,9 +765,9 @@ pub enum Response {
     NotReady,
     /// Every accepted submission has been reported.
     NoPending,
-    /// Ends a [`Request::WaitAll`] stream.
+    /// Ends a [`Request::WaitAll`] reply.
     Done {
-        /// Number of reports streamed by this `WaitAll`.
+        /// Number of reports the preceding [`Response::Reports`] carried.
         count: u64,
     },
     /// The cancellation was applied.
@@ -788,10 +791,10 @@ pub enum Response {
         /// Every diagnostic the audit produced.
         diagnostics: Vec<WireDiagnostic>,
     },
-    /// A batch of completed stages in one frame — what [`Request::WaitAll`]
-    /// answers with, so draining a wide session costs one frame, not one
-    /// per stage. The per-stage [`Response::Report`] streaming path
-    /// (`NextReport` / `PollReport`) is unchanged.
+    /// Every completed stage a [`Request::WaitAll`] drained, in one frame,
+    /// so draining a wide session costs one frame, not one per stage.
+    /// Single reports ([`Request::NextReport`] / [`Request::PollReport`])
+    /// travel as [`Response::Report`].
     Reports {
         /// `(submission index, outcome)` pairs, in completion order.
         reports: Vec<(u64, WireOutcome)>,
@@ -801,7 +804,7 @@ pub enum Response {
 impl Response {
     /// Encodes the response into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut e = ByteWriter::new();
         match self {
             Response::HelloAck => e.u8(1),
             Response::Submitted { index } => {
@@ -825,7 +828,7 @@ impl Response {
             Response::Error { code, message } => {
                 e.u8(10);
                 e.u16(*code);
-                e.string(message);
+                e.str(message);
             }
             Response::LintReport { diagnostics } => {
                 e.u8(11);
@@ -843,7 +846,7 @@ impl Response {
                 }
             }
         }
-        e.0
+        e.finish()
     }
 
     /// Decodes a frame payload as a response.
@@ -852,7 +855,7 @@ impl Response {
     /// [`WireError::Malformed`] on an unknown tag, a short payload, or
     /// trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        let mut d = Decoder::new(payload);
+        let mut d = ByteReader::new(payload);
         let response = (|| {
             let response = match d.u8()? {
                 1 => Response::HelloAck,
@@ -869,7 +872,7 @@ impl Response {
                 9 => Response::Bye,
                 10 => Response::Error {
                     code: d.u16()?,
-                    message: d.string()?,
+                    message: d.str()?,
                 },
                 11 => {
                     let n = d.u64()? as usize;
@@ -1144,11 +1147,11 @@ mod tests {
         ));
         // A batch whose count outruns its entries fails fast, untruncated
         // entries and all — no panic, no huge pre-allocation.
-        let mut lying_count = Encoder::default();
+        let mut lying_count = ByteWriter::new();
         lying_count.u8(12);
         lying_count.u64(u64::MAX);
         lying_count.u64(4);
-        assert!(Response::decode(&lying_count.0).is_err());
+        assert!(Response::decode(&lying_count.finish()).is_err());
         let full = Response::Reports {
             reports: vec![(4, Err((12, "poisoned".into())))],
         }

@@ -202,11 +202,9 @@ pub struct TransientWorkspace {
     guess: Vec<f64>,
     cap_currents: Vec<f64>,
     cap_ieq: Vec<f64>,
-    // Sparse-kernel state: the triplet assembly buffer, the assembled CSC
-    // matrix of the previous run (kept for the same-pattern refactor reuse)
-    // and the sparse factorization.
+    // Sparse-kernel state: the triplet assembly buffer and the sparse
+    // factorization.
     triplets: Vec<(usize, usize, f64)>,
-    csc: CscMatrix,
     sparse_lu: SparseLu,
     // Per-device overdrive caches for the MOSFET evaluations.
     eval_caches: Vec<MosfetEvalCache>,
@@ -523,11 +521,14 @@ impl TransientAnalysis {
     }
 
     /// The sparse LTI fast path: assemble the companion matrix as CSC, factor
-    /// it once with the fill-reducing sparse LU (or replay a values-only
-    /// refactorization when the workspace still holds a factorization of the
-    /// same pattern — a repeated run of an unchanged topology), then per step
-    /// rebuild the RHS and run the triangular solves over the factor
-    /// nonzeros.
+    /// it once with the fill-reducing sparse LU, then per step rebuild the
+    /// RHS and run the triangular solves over the factor nonzeros.
+    ///
+    /// Every run factors afresh, even when the workspace still holds a
+    /// factorization of the same pattern: replaying that run's pivot
+    /// sequence would make the last bits of this result depend on what the
+    /// workspace (a per-thread one, in the analysis backends) simulated
+    /// before.
     ///
     /// Pivot health is gated exactly like the dense Woodbury path gates its
     /// rank update: when the smallest pivot falls below `1e-9 ×` the largest
@@ -550,24 +551,15 @@ impl TransientAnalysis {
 
         system.transient_triplets(h, method, &mut ws.triplets);
         let csc = CscMatrix::from_triplets(n, &ws.triplets);
-        let refactorable = ws.sparse_lu.dim() == n && ws.csc.same_pattern(&csc);
-        let factored = if refactorable {
-            // Values-only replay; a stale pivot sequence going singular gets
-            // one shot at a full re-factorization before falling back.
-            ws.sparse_lu.refactor(&csc).is_ok() || ws.sparse_lu.factor(&csc).is_ok()
-        } else {
-            ws.sparse_lu.factor(&csc).is_ok()
-        };
-        let healthy = factored && ws.sparse_lu.pivot_extremes().0 >= 1e-9 * csc.max_abs();
+        let healthy = ws.sparse_lu.factor(&csc).is_ok()
+            && ws.sparse_lu.pivot_extremes().0 >= 1e-9 * csc.max_abs();
         if !healthy {
             // Near-singular (or unfactorable) sparse stamp: degrade to the
             // dense partial-pivoting LU, whose row exchanges on the full
             // matrix handle what the sparsity-constrained pivoting cannot.
-            ws.csc = CscMatrix::default();
             self.run_factor_once(system, ws, n_steps, times, solutions)?;
             return Ok(KernelStrategy::FactorOnce);
         }
-        ws.csc = csc;
 
         system.init_cap_ieq(h, method, &ws.prev_x, &mut ws.cap_ieq);
         for step in 1..=n_steps {
@@ -1354,7 +1346,8 @@ mod tests {
         let mut ws = TransientWorkspace::new();
         let first = analysis.run_with(&ckt, &mut ws).unwrap();
         assert_eq!(first.strategy(), KernelStrategy::Sparse);
-        // Second run hits the same-pattern refactor path; results identical.
+        // The second run factors afresh on the reused buffers; results
+        // identical.
         let second = analysis.run_with(&ckt, &mut ws).unwrap();
         assert_eq!(second.strategy(), KernelStrategy::Sparse);
         assert_eq!(first.waveform(far).values(), second.waveform(far).values());
@@ -1387,5 +1380,70 @@ mod tests {
         let _ = analysis.run_with(&other, &mut ws).unwrap();
         let reused = analysis.run_with(&ckt, &mut ws).unwrap().waveform(b);
         assert_eq!(fresh.values(), reused.values());
+    }
+
+    /// A driven RLC tree: a trunk of `segments` R–L–C sections splitting
+    /// into two branches of the same shape. `scale` sets the element values
+    /// per section, so two scales give two trees with one sparsity pattern.
+    fn rlc_tree(segments: usize, scale: &[f64]) -> (Circuit, Vec<NodeId>) {
+        let mut ckt = Circuit::new();
+        let src = ckt.node("src");
+        ckt.add_vsource(
+            "V1",
+            src,
+            Circuit::GROUND,
+            SourceWaveform::rising_ramp(1.0, 0.0, ps(50.0)),
+        );
+        let mut section = 0;
+        let mut chain = |ckt: &mut Circuit, from: NodeId, tag: &str| {
+            let mut prev = from;
+            for k in 0..segments {
+                let s = scale[section % scale.len()];
+                section += 1;
+                let mid = ckt.node(&format!("{tag}m{k}"));
+                let n = ckt.node(&format!("{tag}n{k}"));
+                ckt.add_resistor(&format!("R{tag}{k}"), prev, mid, 3.0 * s);
+                ckt.add_inductor(&format!("L{tag}{k}"), mid, n, 0.1e-9 / s);
+                ckt.add_capacitor(&format!("C{tag}{k}"), n, Circuit::GROUND, 20e-15 * s * s);
+                prev = n;
+            }
+            prev
+        };
+        let split = chain(&mut ckt, src, "t");
+        let a = chain(&mut ckt, split, "a");
+        let b = chain(&mut ckt, split, "b");
+        ckt.set_initial_condition(src, 0.0);
+        (ckt, vec![split, a, b])
+    }
+
+    #[test]
+    fn sparse_results_do_not_depend_on_workspace_history() {
+        // Two trees with one sparsity pattern and different values. Running
+        // A first must not change B's bits: every run factors afresh instead
+        // of replaying the pivot sequence A left in the workspace.
+        let (tree_a, _) = rlc_tree(12, &[1.0]);
+        let (tree_b, nodes) = rlc_tree(12, &[0.05, 30.0, 1.0, 400.0]);
+        let analysis = TransientAnalysis::new(
+            TransientOptions::try_new(ps(1.0), ps(100.0))
+                .unwrap()
+                .with_strategy(KernelStrategy::Sparse),
+        );
+        let fresh = analysis
+            .run_with(&tree_b, &mut TransientWorkspace::new())
+            .unwrap();
+        let mut ws = TransientWorkspace::new();
+        analysis.run_with(&tree_a, &mut ws).unwrap();
+        let after_a = analysis.run_with(&tree_b, &mut ws).unwrap();
+        assert_eq!(after_a.strategy(), KernelStrategy::Sparse);
+        for node in nodes {
+            let bits = |r: &TransientResult| -> Vec<u64> {
+                r.waveform(node)
+                    .values()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&fresh), bits(&after_a));
+        }
     }
 }
