@@ -1,10 +1,12 @@
 //! Before/after benchmarks of the transient simulation kernels: the legacy
 //! full-reassembly kernel versus the factor-once LTI fast path and the
 //! split-stamp Newton loop, on the fig4-style RLC-ladder transient and a
-//! characterization-style grid of inverter runs — plus the `AnalysisSession`
-//! scheduling benches (`path_chain_4stage`, `session_wide_batch_16`), which
-//! assert the session's overhead stays within budget against hand-rolled
-//! sequential propagation and the deprecated `analyze_many` fan-out.
+//! characterization-style grid of inverter runs, and the driver-Rs
+//! extraction with and without its stop at the last measured crossing — plus
+//! the `AnalysisSession` scheduling benches (`path_chain_4stage`,
+//! `session_wide_batch_16`), which assert the session's overhead stays
+//! within budget against hand-rolled sequential propagation and the
+//! deprecated `analyze_many` fan-out.
 //! Results are written to `BENCH_transient.json` so the perf trajectory of
 //! the hot path is recorded.
 //!
@@ -13,6 +15,7 @@
 
 use rlc_bench::harness::Runner;
 use rlc_bench::{write_bench_json, BenchComparison, OutputPaths};
+use rlc_charlib::resistance::driver_on_resistance_with;
 use rlc_charlib::{CharacterizationGrid, Library};
 use rlc_interconnect::{CoupledBus, RlcLine, RlcTree};
 use rlc_numeric::units::{ff, mm, nh, pf, ps};
@@ -492,6 +495,77 @@ fn main() {
         baseline_ns: baseline.as_nanos(),
         optimized_ns: optimized.as_nanos(),
     });
+
+    // Driver-Rs extraction, the transient behind every
+    // `DriverCell::on_resistance_for_load` call: the same extractions run out
+    // to their whole window (the baseline, rebuilt here from charlib's
+    // testbench and window) versus `driver_on_resistance_with`, which stops
+    // at the output's 90 % crossing. Both must fit the same Rs bit for bit.
+    // Cases: 25X/75X/100X × the default grid's load axis (smoke: its
+    // smallest and largest loads).
+    {
+        let load_axis = CharacterizationGrid::default().load_axis;
+        let rs_loads = if smoke {
+            vec![load_axis[0], load_axis[load_axis.len() - 1]]
+        } else {
+            load_axis
+        };
+        let rs_specs = [25.0, 75.0, 100.0].map(InverterSpec::sized_018);
+        let full_window_rs = |spec: &InverterSpec, load: f64, ws: &mut TransientWorkspace| {
+            let (ckt, nodes) =
+                inverter_with_cap_load(spec, ps(100.0), ps(20.0), load, OutputTransition::Rising);
+            let window =
+                ps(20.0) + ps(100.0) + 10.0 * (3.0e-3 / spec.nmos_width) * load + ps(200.0);
+            let steps = (window / ps(0.5)).ceil().max(50.0);
+            let o = options(ps(0.5), steps * ps(0.5), KernelStrategy::Auto);
+            let out = TransientAnalysis::new(o)
+                .run_with(&ckt, ws)
+                .unwrap()
+                .waveform(nodes.output);
+            let t50 = out.crossing_fraction(0.5, spec.vdd, true).unwrap();
+            let t90 = out.crossing_fraction(0.9, spec.vdd, true).unwrap();
+            (t90 - t50) / (load * 5.0f64.ln())
+        };
+        let stopped_rs = |spec: &InverterSpec, load: f64, ws: &mut TransientWorkspace| {
+            driver_on_resistance_with(spec, ps(100.0), load, OutputTransition::Rising, ws)
+                .unwrap()
+                .resistance
+        };
+        let mut rs_ws = TransientWorkspace::new();
+        for spec in &rs_specs {
+            for &load in &rs_loads {
+                let (full, stopped) = (
+                    full_window_rs(spec, load, &mut rs_ws),
+                    stopped_rs(spec, load, &mut rs_ws),
+                );
+                assert_eq!(
+                    full.to_bits(),
+                    stopped.to_bits(),
+                    "Rs of {}X at {load:e} F: {full} (full window) vs {stopped} (stopped)",
+                    spec.size()
+                );
+            }
+        }
+        let mut extract_all =
+            |extract: &dyn Fn(&InverterSpec, f64, &mut TransientWorkspace) -> f64| {
+                for spec in &rs_specs {
+                    for &load in &rs_loads {
+                        black_box(extract(spec, load, &mut rs_ws));
+                    }
+                }
+            };
+        let baseline = runner.bench("rs_extract_stop_at_crossing/full_window", || {
+            extract_all(&full_window_rs)
+        });
+        let optimized = runner.bench("rs_extract_stop_at_crossing/stopped", || {
+            extract_all(&stopped_rs)
+        });
+        results.push(BenchComparison {
+            name: "rs_extract_stop_at_crossing".to_string(),
+            baseline_ns: baseline.as_nanos(),
+            optimized_ns: optimized.as_nanos(),
+        });
+    }
 
     // Characterization cache: a cold start (empty cache, full grid of
     // characterization transients, result persisted) versus a warm start

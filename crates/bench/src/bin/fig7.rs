@@ -58,9 +58,12 @@ fn main() {
     );
 
     println!(
-        "inductive cases evaluated: {} (screened out as non-inductive or failed: {})",
+        "inductive cases evaluated: {} (screened out as non-inductive: {}, model failed: {}, \
+         golden comparison failed: {})",
         result.cases.len(),
-        result.screened_out
+        result.screened_out,
+        result.model_failed,
+        result.golden_failed
     );
     let stats_rows = vec![
         vec![

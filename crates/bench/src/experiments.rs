@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use rlc_ceff::flow::{AnalysisCase, DriverOutputModeler};
+use rlc_ceff::flow::{AnalysisCase, DriverOutputModel, DriverOutputModeler};
 use rlc_ceff::validation::{CaseComparison, FarEndComparison, GoldenWaveforms};
 use rlc_ceff::CeffError;
 use rlc_charlib::DriverCell;
@@ -376,12 +376,37 @@ pub struct SweepCase {
 pub struct Fig7Result {
     /// Every inductive case that was evaluated.
     pub cases: Vec<SweepCase>,
-    /// Number of sweep points that were screened out as not inductive.
+    /// Sweep points the model screened out as not inductive.
     pub screened_out: usize,
+    /// Sweep points the model failed on while screening, so they were
+    /// neither admitted nor screened out.
+    pub model_failed: usize,
+    /// Inductive cases dropped because their golden comparison failed.
+    pub golden_failed: usize,
     /// Delay error statistics over the inductive cases.
     pub delay_stats: ErrorSummary,
     /// Slew error statistics over the inductive cases.
     pub slew_stats: ErrorSummary,
+}
+
+/// Figure 7's screening tally: what the model said about each sweep point.
+#[derive(Debug, Default)]
+struct Screening {
+    screened_out: usize,
+    model_failed: usize,
+}
+
+impl Screening {
+    /// Whether the point's model admits it as inductive (two-ramp). Counts a
+    /// single-ramp model as screened out and an error as a model failure.
+    fn admit(&mut self, model: Result<DriverOutputModel, CeffError>) -> bool {
+        match model {
+            Ok(model) if model.is_two_ramp() => return true,
+            Ok(_) => self.screened_out += 1,
+            Err(_) => self.model_failed += 1,
+        }
+        false
+    }
 }
 
 /// The sweep grid of Section 6: lengths 1–7 mm, widths 0.8–3.5 µm, drivers
@@ -401,8 +426,8 @@ pub fn fig7_grid() -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
 ///
 /// # Errors
 /// Propagates characterization errors; individual case failures are skipped
-/// (and counted in `screened_out`) so one pathological corner cannot kill the
-/// whole sweep.
+/// (and counted in `model_failed` or `golden_failed`) so one pathological
+/// corner cannot kill the whole sweep.
 pub fn run_fig7(
     ctx: &mut ExperimentContext,
     fidelity: SimFidelity,
@@ -444,14 +469,12 @@ pub fn run_fig7(
     // keep only the inductive cases.
     let modeler = DriverOutputModeler::new(config);
     let mut inductive: Vec<Point> = Vec::new();
-    let mut screened_out = 0usize;
+    let mut screen = Screening::default();
     for p in points {
         let cell = &cells[&((p.driver_size * 1000.0) as u64)];
         let analysis = AnalysisCase::try_new(cell, &p.line, receiver_load(), ps(p.input_slew_ps))?;
-        match modeler.model(&analysis) {
-            Ok(model) if model.is_two_ramp() => inductive.push(p),
-            Ok(_) => screened_out += 1,
-            Err(_) => screened_out += 1,
+        if screen.admit(modeler.model(&analysis)) {
+            inductive.push(p);
         }
     }
     if let Some(limit) = max_cases {
@@ -463,6 +486,7 @@ pub fn run_fig7(
     let n_threads = thread_count.max(1);
     let results = std::sync::Mutex::new(Vec::<SweepCase>::new());
     let next = std::sync::atomic::AtomicUsize::new(0);
+    let golden_failed = std::sync::atomic::AtomicUsize::new(0);
     thread::scope(|scope| {
         for _ in 0..n_threads {
             scope.spawn(|| loop {
@@ -472,27 +496,32 @@ pub fn run_fig7(
                 }
                 let p = &inductive[idx];
                 let cell = &cells[&((p.driver_size * 1000.0) as u64)];
-                let Ok(analysis) =
+                let modeler = DriverOutputModeler::new(config);
+                let compared =
                     AnalysisCase::try_new(cell, &p.line, receiver_load(), ps(p.input_slew_ps))
-                else {
+                        .and_then(|analysis| {
+                            CaseComparison::evaluate(&analysis, &modeler, &golden_opts)
+                        });
+                let Ok(cmp) = compared else {
+                    golden_failed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     continue;
                 };
-                let modeler = DriverOutputModeler::new(config);
-                if let Ok(cmp) = CaseComparison::evaluate(&analysis, &modeler, &golden_opts) {
-                    let case = SweepCase {
-                        length_mm: p.length_mm,
-                        width_um: p.width_um,
-                        driver_size: p.driver_size,
-                        input_slew_ps: p.input_slew_ps,
-                        sim_delay: cmp.sim_delay,
-                        sim_slew: cmp.sim_slew,
-                        model_delay: cmp.model_delay,
-                        model_slew: cmp.model_slew,
-                        delay_error: cmp.delay_error,
-                        slew_error: cmp.slew_error,
-                    };
-                    results.lock().unwrap().push(case);
-                }
+                let case = SweepCase {
+                    length_mm: p.length_mm,
+                    width_um: p.width_um,
+                    driver_size: p.driver_size,
+                    input_slew_ps: p.input_slew_ps,
+                    sim_delay: cmp.sim_delay,
+                    sim_slew: cmp.sim_slew,
+                    model_delay: cmp.model_delay,
+                    model_slew: cmp.model_slew,
+                    delay_error: cmp.delay_error,
+                    slew_error: cmp.slew_error,
+                };
+                results
+                    .lock()
+                    .expect("no sweep worker panics while holding the results lock")
+                    .push(case);
             });
         }
     });
@@ -513,7 +542,9 @@ pub fn run_fig7(
     })?;
     Ok(Fig7Result {
         cases,
-        screened_out,
+        screened_out: screen.screened_out,
+        model_failed: screen.model_failed,
+        golden_failed: golden_failed.into_inner(),
         delay_stats,
         slew_stats,
     })
@@ -648,6 +679,30 @@ mod tests {
         assert_eq!(drivers.last(), Some(&125.0));
         assert_eq!(slews.first(), Some(&50.0));
         assert_eq!(slews.last(), Some(&200.0));
+    }
+
+    /// A sweep point whose model errors is counted as a model failure, not
+    /// as a screen-out. The error is forced by allowing the Ceff iteration
+    /// no iterations on a real inductive-looking case.
+    #[test]
+    fn forced_model_error_lands_in_model_failed() {
+        let cell = rlc_ceff_suite::fixtures::synthetic_cell_75x();
+        let line = EmpiricalExtractor::cmos018().extract(&WireGeometry::new(mm(5.0), um(1.6)));
+        let case = AnalysisCase::try_new(&cell, &line, receiver_load(), ps(100.0)).unwrap();
+        let mut config = rlc_ceff::flow::ModelingConfig {
+            extract_rs_per_case: false,
+            ..Default::default()
+        };
+        config.iteration.max_iterations = 0;
+        let mut screen = Screening::default();
+        assert!(!screen.admit(DriverOutputModeler::new(config).model(&case)));
+        assert_eq!((screen.model_failed, screen.screened_out), (1, 0));
+
+        // The same case with a working iteration is screened, not failed.
+        config.iteration.max_iterations = 100;
+        let admitted = screen.admit(DriverOutputModeler::new(config).model(&case));
+        assert_eq!(screen.model_failed, 1);
+        assert_eq!(screen.screened_out, usize::from(!admitted));
     }
 
     #[test]

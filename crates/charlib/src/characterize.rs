@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rlc_numeric::units::{ff, pf, ps};
 use rlc_spice::testbench::{inverter_with_cap_load, InverterSpec, OutputTransition};
-use rlc_spice::transient::{TransientAnalysis, TransientOptions, TransientWorkspace};
+use rlc_spice::transient::{Crossing, TransientAnalysis, TransientOptions, TransientWorkspace};
 
 use crate::table::TimingTable;
 use crate::CharlibError;
@@ -164,6 +164,10 @@ pub fn characterize_point(
 /// grid of points shares one set of kernel buffers instead of reallocating
 /// them per simulation.
 ///
+/// The simulation ends once the input's 50 % crossing and the output's 10 %,
+/// 50 % and 90 % crossings have occurred instead of running out its window;
+/// the measured point is bit-identical to one over the full window.
+///
 /// # Errors
 /// Propagates simulation failures and reports missing waveform crossings.
 pub fn characterize_point_with(
@@ -175,8 +179,27 @@ pub fn characterize_point_with(
     workspace: &mut TransientWorkspace,
 ) -> Result<CharacterizedPoint, CharlibError> {
     POINTS_CHARACTERIZED.fetch_add(1, Ordering::Relaxed);
+    simulate_point(
+        spec, input_slew, load, time_step, transition, workspace, true,
+    )
+}
+
+/// The simulation and measurement behind [`characterize_point_with`]; with
+/// `stop_at_crossings` false the simulation runs out its whole window.
+fn simulate_point(
+    spec: &InverterSpec,
+    input_slew: f64,
+    load: f64,
+    time_step: f64,
+    transition: OutputTransition,
+    workspace: &mut TransientWorkspace,
+    stop_at_crossings: bool,
+) -> Result<CharacterizedPoint, CharlibError> {
     let input_delay = ps(20.0);
     let (ckt, nodes) = inverter_with_cap_load(spec, input_slew, input_delay, load, transition);
+
+    let vdd = spec.vdd;
+    let rising = matches!(transition, OutputTransition::Rising);
 
     // Simulation window: the input ramp plus a generous multiple of the
     // output time constant (driver resistance falls with size; 3 kΩ·µm /
@@ -184,13 +207,26 @@ pub fn characterize_point_with(
     let r_estimate = 3.0e-3 / spec.nmos_width; // ohms
     let window = input_delay + input_slew + 8.0 * r_estimate * load + ps(200.0);
     let steps = (window / time_step).ceil().max(50.0);
-    let opts = TransientOptions::try_new(time_step, steps * time_step)?;
-    let result = TransientAnalysis::new(opts).run_with(&ckt, workspace)?;
+    let mut options = TransientOptions::try_new(time_step, steps * time_step)?;
+    if stop_at_crossings {
+        // Every crossing the delay and the 10-90 % slew read below, at
+        // the levels `crossing_fraction` measures.
+        let output = [0.1, 0.5, 0.9].map(|fraction| Crossing {
+            node: nodes.output,
+            level: fraction * vdd,
+            rising,
+        });
+        let input = Crossing {
+            node: nodes.input,
+            level: 0.5 * vdd,
+            rising: !rising,
+        };
+        options = options.with_stop_at(output.into_iter().chain([input]));
+    }
+    let result = TransientAnalysis::new(options).run_with(&ckt, workspace)?;
 
-    let vdd = spec.vdd;
     let out = result.waveform(nodes.output);
     let input = result.waveform(nodes.input);
-    let rising = matches!(transition, OutputTransition::Rising);
 
     let t50_in =
         input
@@ -317,6 +353,53 @@ mod tests {
             points_characterized()
                 >= points_before + 1 + grid.slew_axis.len() * grid.load_axis.len()
         );
+    }
+
+    /// Stopping at the last crossing the point reads changes no bit of it:
+    /// on the smallest and largest default-grid loads, for three drive sizes
+    /// and both transitions, the point equals one over the full window.
+    #[test]
+    fn stopping_at_the_crossings_matches_the_full_window_bit_for_bit() {
+        let grid = CharacterizationGrid::default();
+        let loads = [grid.load_axis[0], grid.load_axis[grid.load_axis.len() - 1]];
+        let mut workspace = TransientWorkspace::new();
+        for size in [25.0, 75.0, 100.0] {
+            let spec = InverterSpec::sized_018(size);
+            for transition in [OutputTransition::Rising, OutputTransition::Falling] {
+                for load in loads {
+                    let stopped = characterize_point_with(
+                        &spec,
+                        ps(100.0),
+                        load,
+                        grid.time_step,
+                        transition,
+                        &mut workspace,
+                    )
+                    .unwrap();
+                    let full = simulate_point(
+                        &spec,
+                        ps(100.0),
+                        load,
+                        grid.time_step,
+                        transition,
+                        &mut workspace,
+                        false,
+                    )
+                    .unwrap();
+                    let case = format!("{size}X, {transition:?}, {load:e} F");
+                    assert_eq!(
+                        stopped.delay.to_bits(),
+                        full.delay.to_bits(),
+                        "delay, {case}"
+                    );
+                    assert_eq!(
+                        stopped.transition.to_bits(),
+                        full.transition.to_bits(),
+                        "transition, {case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use rlc_numeric::units::ps;
 use rlc_spice::testbench::{inverter_with_cap_load, InverterSpec, OutputTransition};
-use rlc_spice::transient::{TransientAnalysis, TransientOptions, TransientWorkspace};
+use rlc_spice::transient::{Crossing, TransientAnalysis, TransientOptions, TransientWorkspace};
 
 use crate::CharlibError;
 
@@ -49,6 +49,10 @@ pub fn driver_on_resistance(
 
 /// [`driver_on_resistance`] reusing a caller-owned simulation workspace.
 ///
+/// The simulation ends at the output's 90 % crossing (the last one the fit
+/// reads) instead of running out its window; the fit is bit-identical to one
+/// over the full window.
+///
 /// # Errors
 /// Propagates simulation errors; fails with a measurement error if the output
 /// never reaches 90 % of the supply in the simulated window.
@@ -59,23 +63,46 @@ pub fn driver_on_resistance_with(
     transition: OutputTransition,
     workspace: &mut TransientWorkspace,
 ) -> Result<DriverResistance, CharlibError> {
+    extract(spec, input_slew, load, transition, workspace, true)
+}
+
+/// The extraction behind [`driver_on_resistance_with`]; with
+/// `stop_at_crossings` false the simulation runs out its whole window.
+fn extract(
+    spec: &InverterSpec,
+    input_slew: f64,
+    load: f64,
+    transition: OutputTransition,
+    workspace: &mut TransientWorkspace,
+    stop_at_crossings: bool,
+) -> Result<DriverResistance, CharlibError> {
     assert!(load > 0.0, "load capacitance must be positive");
     let input_delay = ps(20.0);
     let (ckt, nodes) = inverter_with_cap_load(spec, input_slew, input_delay, load, transition);
+
+    let vdd = spec.vdd;
+    let rising = matches!(transition, OutputTransition::Rising);
+    // "90 % of the transition" is 0.9*VDD for a rising output but 0.1*VDD for
+    // a falling one.
+    let level_90 = if rising { 0.9 } else { 0.1 };
 
     let r_estimate = 3.0e-3 / spec.nmos_width;
     let window = input_delay + input_slew + 10.0 * r_estimate * load + ps(200.0);
     let time_step = ps(0.5);
     let steps = (window / time_step).ceil().max(50.0);
-    let result = TransientAnalysis::new(TransientOptions::try_new(time_step, steps * time_step)?)
-        .run_with(&ckt, workspace)?;
+    let mut options = TransientOptions::try_new(time_step, steps * time_step)?;
+    if stop_at_crossings {
+        // Both crossings the fit reads, at the levels `crossing_fraction`
+        // measures below.
+        options = options.with_stop_at([0.5, level_90].map(|fraction| Crossing {
+            node: nodes.output,
+            level: fraction * vdd,
+            rising,
+        }));
+    }
+    let result = TransientAnalysis::new(options).run_with(&ckt, workspace)?;
 
-    let vdd = spec.vdd;
-    let rising = matches!(transition, OutputTransition::Rising);
     let out = result.waveform(nodes.output);
-    // "90 % of the transition" is 0.9*VDD for a rising output but 0.1*VDD for
-    // a falling one.
-    let level_90 = if rising { 0.9 } else { 0.1 };
     let t50 = out
         .crossing_fraction(0.5, vdd, rising)
         .ok_or_else(|| CharlibError::Measurement {
@@ -104,6 +131,7 @@ pub fn driver_on_resistance_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CharacterizationGrid;
     use rlc_numeric::units::{ff, pf};
 
     #[test]
@@ -159,6 +187,44 @@ mod tests {
             spread < 0.35,
             "Rs varies too much with extraction load: {r_small:.1} vs {r_large:.1}"
         );
+    }
+
+    /// Stopping at the last crossing the fit reads changes no bit of it: on
+    /// the smallest and largest default-grid loads, for three drive sizes
+    /// and both transitions, the extraction equals one over the full window.
+    #[test]
+    fn stopping_at_the_crossings_matches_the_full_window_bit_for_bit() {
+        let loads = CharacterizationGrid::default().load_axis;
+        let loads = [loads[0], loads[loads.len() - 1]];
+        let mut workspace = TransientWorkspace::new();
+        for size in [25.0, 75.0, 100.0] {
+            let spec = InverterSpec::sized_018(size);
+            for transition in [OutputTransition::Rising, OutputTransition::Falling] {
+                for load in loads {
+                    let stopped = driver_on_resistance_with(
+                        &spec,
+                        ps(100.0),
+                        load,
+                        transition,
+                        &mut workspace,
+                    )
+                    .unwrap();
+                    let full =
+                        extract(&spec, ps(100.0), load, transition, &mut workspace, false).unwrap();
+                    let case = format!("{size}X, {transition:?}, {load:e} F");
+                    assert_eq!(
+                        stopped.resistance.to_bits(),
+                        full.resistance.to_bits(),
+                        "Rs, {case}"
+                    );
+                    assert_eq!(
+                        stopped.t50_to_t90.to_bits(),
+                        full.t50_to_t90.to_bits(),
+                        "t50 to t90, {case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -73,47 +73,78 @@ pub fn interp2(x_axis: &[f64], y_axis: &[f64], values: &[Vec<f64>], x: f64, y: f
 /// target counts as crossing at that sample when it arrives from the search
 /// direction's side, and a trace that *starts* exactly on the target crosses
 /// at its first sample. Returns `None` if the trace never crosses.
+///
+/// The scan applies [`segment_crossing`] to each segment in order and stops
+/// at the first hit.
 pub fn first_crossing(xs: &[f64], ys: &[f64], target: f64, rising: bool) -> Option<f64> {
     assert_eq!(xs.len(), ys.len());
+    (1..xs.len()).find_map(|k| {
+        segment_crossing(
+            [xs[k - 1], xs[k]],
+            [ys[k - 1], ys[k]],
+            target,
+            rising,
+            k == 1,
+        )
+    })
+}
+
+/// The first-crossing rule of [`first_crossing`] on one segment of a trace:
+/// the abscissa at which the segment from `(x[0], y[0])` to `(x[1], y[1])`
+/// crosses `target` in the search direction, or `None`. `first` marks the
+/// trace's first segment, the only one on which a trace starting exactly on
+/// the target can cross at its first sample.
+///
+/// A consumer that sees a trace one sample at a time (a simulator watching
+/// for a threshold) finds the same crossing as [`first_crossing`] on the
+/// finished trace by feeding it each new segment until the first `Some`.
+///
+/// ```
+/// use rlc_numeric::interp::{first_crossing, segment_crossing};
+/// let (xs, ys) = ([0.0, 1.0, 2.0], [0.0, 0.4, 1.2]);
+/// assert_eq!(segment_crossing([0.0, 1.0], [0.0, 0.4], 0.5, true, true), None);
+/// let x = segment_crossing([1.0, 2.0], [0.4, 1.2], 0.5, true, false);
+/// assert_eq!(x, first_crossing(&xs, &ys, 0.5, true));
+/// ```
+pub fn segment_crossing(
+    x: [f64; 2],
+    y: [f64; 2],
+    target: f64,
+    rising: bool,
+    first: bool,
+) -> Option<f64> {
+    let ([x0, x1], [y0, y1]) = (x, y);
     // A trace beginning exactly at the threshold has reached it at its first
     // sample — there is no earlier history to cross from — provided it then
     // proceeds on the search direction's side; a trace that immediately
     // leaves against the direction has not crossed (it may still cross
-    // properly later, which the scan below finds).
-    if ys.len() >= 2 && ys[0] == target {
-        let toward = if rising {
-            ys[1] >= target
-        } else {
-            ys[1] <= target
-        };
+    // properly later, which the segment test below and later segments find).
+    if first && y0 == target {
+        let toward = if rising { y1 >= target } else { y1 <= target };
         if toward {
-            return Some(xs[0]);
+            return Some(x0);
         }
     }
-    for k in 1..xs.len() {
-        let (y0, y1) = (ys[k - 1], ys[k]);
-        // Half-open comparison: the segment owns its upper sample, so a
-        // trace sampled exactly on the threshold reports the crossing at
-        // that sample instead of dropping or delaying it (the old strict
-        // `y1 > target` missed exact landings). Approaches from the wrong
-        // side — a dip that merely brushes the target during a
-        // rising-direction search — deliberately do not count: the `y0`
-        // comparison stays strict, so the trace must arrive from the side
-        // the search direction implies.
-        let crossed = if rising {
-            y0 < target && y1 >= target
-        } else {
-            y0 > target && y1 <= target
-        };
-        if crossed {
-            if (y1 - y0).abs() < 1e-300 {
-                return Some(xs[k]);
-            }
-            let t = (target - y0) / (y1 - y0);
-            return Some(xs[k - 1] + t * (xs[k] - xs[k - 1]));
-        }
+    // Half-open comparison: the segment owns its upper sample, so a trace
+    // sampled exactly on the threshold reports the crossing at that sample
+    // instead of dropping or delaying it (the old strict `y1 > target` missed
+    // exact landings). Approaches from the wrong side — a dip that merely
+    // brushes the target during a rising-direction search — deliberately do
+    // not count: the `y0` comparison stays strict, so the trace must arrive
+    // from the side the search direction implies.
+    let crossed = if rising {
+        y0 < target && y1 >= target
+    } else {
+        y0 > target && y1 <= target
+    };
+    if !crossed {
+        return None;
     }
-    None
+    if (y1 - y0).abs() < 1e-300 {
+        return Some(x1);
+    }
+    let t = (target - y0) / (y1 - y0);
+    Some(x0 + t * (x1 - x0))
 }
 
 #[cfg(test)]

@@ -56,8 +56,8 @@ pub use mosfet::{MosfetParams, MosfetType};
 pub use source::SourceWaveform;
 pub use sweep::{SweepResult, VariationSpec, VariationSweep};
 pub use transient::{
-    IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions, TransientResult,
-    TransientWorkspace, SPARSE_AUTO_THRESHOLD,
+    Crossing, IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions,
+    TransientResult, TransientWorkspace, SPARSE_AUTO_THRESHOLD,
 };
 pub use waveform::Waveform;
 
@@ -69,8 +69,8 @@ pub mod prelude {
     pub use crate::source::SourceWaveform;
     pub use crate::sweep::{SweepResult, VariationSpec, VariationSweep};
     pub use crate::transient::{
-        IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions, TransientResult,
-        TransientWorkspace, SPARSE_AUTO_THRESHOLD,
+        Crossing, IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions,
+        TransientResult, TransientWorkspace, SPARSE_AUTO_THRESHOLD,
     };
     pub use crate::waveform::Waveform;
     pub use crate::SpiceError;

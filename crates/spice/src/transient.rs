@@ -13,9 +13,20 @@
 //! reusable [`TransientWorkspace`], so the inner loop performs no heap
 //! allocation; the legacy full-reassembly kernel is kept as
 //! [`KernelStrategy::LegacyFull`] for cross-checking and benchmarking.
+//!
+//! # Stopping at a crossing
+//!
+//! A run normally ends at [`TransientOptions::stop_time`]. A measurement
+//! that only reads threshold crossings can list them in
+//! [`TransientOptions::stop_at`]; the run then ends at the first accepted
+//! time point by which all of them have occurred. Every kernel is causal —
+//! the solution at a time point depends only on earlier points — so the
+//! shortened run is a bit-exact prefix of the full one and each listed
+//! crossing measures exactly as it would on the full run.
 
 use std::collections::HashMap;
 
+use rlc_numeric::interp::segment_crossing;
 use rlc_numeric::{CscMatrix, DenseMatrix, LuFactors, SparseLu};
 
 use crate::circuit::{Circuit, NodeId};
@@ -98,6 +109,21 @@ pub enum KernelStrategy {
     LegacyFull,
 }
 
+/// A threshold crossing of a node voltage, as
+/// [`Waveform::crossing_time`] finds it: the first time the node reaches
+/// `level`, arriving from below when `rising` and from above otherwise.
+/// Listed in [`TransientOptions::stop_at`], it lets a run end once it has
+/// occurred.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Crossing {
+    /// The watched node.
+    pub node: NodeId,
+    /// The threshold (volts).
+    pub level: f64,
+    /// Search direction.
+    pub rising: bool,
+}
+
 /// Options for a transient run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientOptions {
@@ -117,6 +143,12 @@ pub struct TransientOptions {
     pub voltage_tolerance: f64,
     /// Largest allowed voltage change per Newton iteration (volts).
     pub step_limit: f64,
+    /// Crossings that end the run early: when the list is not empty, the run
+    /// ends at the first time point by which every listed crossing has
+    /// occurred (see the [module docs](self)). `stop_time` stays the cap: a
+    /// crossing that never comes leaves the run to end there. Empty by
+    /// default.
+    pub stop_at: Vec<Crossing>,
 }
 
 impl TransientOptions {
@@ -146,21 +178,8 @@ impl TransientOptions {
             max_newton_iterations: 100,
             voltage_tolerance: 1e-6,
             step_limit: 1.0,
+            stop_at: Vec::new(),
         })
-    }
-
-    /// Creates options with the given step and stop time and default
-    /// tolerances.
-    ///
-    /// # Panics
-    /// Panics if `time_step <= 0`, `stop_time <= 0`, or
-    /// `stop_time < time_step`.
-    #[deprecated(since = "0.2.0", note = "use `TransientOptions::try_new` instead")]
-    pub fn new(time_step: f64, stop_time: f64) -> Self {
-        match Self::try_new(time_step, stop_time) {
-            Ok(options) => options,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Sets the integration method (builder style).
@@ -178,6 +197,13 @@ impl TransientOptions {
     /// Sets the kernel strategy (builder style).
     pub fn with_strategy(mut self, strategy: KernelStrategy) -> Self {
         self.strategy = strategy;
+        self
+    }
+
+    /// Sets the crossings that end the run early (builder style); see
+    /// [`TransientOptions::stop_at`].
+    pub fn with_stop_at(mut self, crossings: impl IntoIterator<Item = Crossing>) -> Self {
+        self.stop_at = crossings.into_iter().collect();
         self
     }
 }
@@ -283,6 +309,54 @@ fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// The accepted time points of a run, and the [`TransientOptions::stop_at`]
+/// rule. Every kernel records its time points through
+/// [`Recorder::record`], which also says when the run may end.
+struct Recorder {
+    times: Vec<f64>,
+    solutions: Vec<f64>,
+    /// The listed crossings not yet seen.
+    pending: Vec<Crossing>,
+    /// Whether any crossing was listed; an empty list never stops a run.
+    stops_early: bool,
+}
+
+impl Recorder {
+    /// A recorder holding the starting state `x0` at `t = 0`.
+    fn new(x0: &[f64], n_steps: usize, stop_at: &[Crossing]) -> Self {
+        let mut times = Vec::with_capacity(n_steps + 1);
+        let mut solutions = Vec::with_capacity((n_steps + 1) * x0.len());
+        times.push(0.0);
+        solutions.extend_from_slice(x0);
+        Recorder {
+            times,
+            solutions,
+            pending: stop_at.to_vec(),
+            stops_early: !stop_at.is_empty(),
+        }
+    }
+
+    /// Records the accepted solution `x` at time `t`. Returns `true` once
+    /// every listed crossing has occurred, judged segment by segment with the
+    /// rule [`Waveform::crossing_time`] applies to the finished waveform.
+    fn record(&mut self, system: &MnaSystem, t: f64, x: &[f64]) -> bool {
+        let k = self.times.len();
+        let prev = &self.solutions[(k - 1) * x.len()..];
+        let t_prev = self.times[k - 1];
+        self.pending.retain(|c| {
+            let node = c.node.index();
+            let y = [
+                system.node_voltage(prev, node),
+                system.node_voltage(x, node),
+            ];
+            segment_crossing([t_prev, t], y, c.level, c.rising, k == 1).is_none()
+        });
+        self.times.push(t);
+        self.solutions.extend_from_slice(x);
+        self.stops_early && self.pending.is_empty()
+    }
+}
+
 /// A transient analysis runner.
 #[derive(Debug, Clone)]
 pub struct TransientAnalysis {
@@ -329,14 +403,16 @@ impl TransientResult {
         self.times.len()
     }
 
-    fn rows(&self) -> impl Iterator<Item = &[f64]> {
+    /// The raw MNA solution at each time point, in time order: the
+    /// non-ground node voltages, then the branch currents.
+    pub fn solutions(&self) -> impl Iterator<Item = &[f64]> {
         self.solutions.chunks_exact(self.stride)
     }
 
     /// Waveform of a node voltage.
     pub fn waveform(&self, node: NodeId) -> Waveform {
         let values = self
-            .rows()
+            .solutions()
             .map(|x| self.system.node_voltage(x, node.index()))
             .collect();
         Waveform::new(self.times.clone(), values)
@@ -352,7 +428,7 @@ impl TransientResult {
     /// current into the positive terminal). Returns `None` for unknown names.
     pub fn vsource_current(&self, name: &str) -> Option<Waveform> {
         let branch = self.system.vsource_branch(name)?;
-        let values = self.rows().map(|x| x[branch]).collect();
+        let values = self.solutions().map(|x| x[branch]).collect();
         Some(Waveform::new(self.times.clone(), values))
     }
 }
@@ -387,9 +463,20 @@ impl TransientAnalysis {
         ws: &mut TransientWorkspace,
     ) -> Result<TransientResult, SpiceError> {
         circuit.validate()?;
+        let opts = &self.options;
+        if let Some(c) = opts
+            .stop_at
+            .iter()
+            .find(|c| c.node.index() >= circuit.num_nodes())
+        {
+            return Err(SpiceError::InvalidOptions(format!(
+                "stop_at watches node index {}, but the circuit has {} nodes",
+                c.node.index(),
+                circuit.num_nodes()
+            )));
+        }
         let system = MnaSystem::compile(circuit);
         let n = system.num_unknowns();
-        let opts = &self.options;
 
         let strategy = match opts.strategy {
             KernelStrategy::Auto => {
@@ -440,25 +527,20 @@ impl TransientAnalysis {
         ws.prev_x.copy_from_slice(&x0);
 
         let n_steps = (opts.stop_time / opts.time_step).round() as usize;
-        let mut times = Vec::with_capacity(n_steps + 1);
-        let mut solutions = Vec::with_capacity((n_steps + 1) * n);
-        times.push(0.0);
-        solutions.extend_from_slice(&x0);
+        let mut rec = Recorder::new(&x0, n_steps, &opts.stop_at);
 
         let executed = match strategy {
             KernelStrategy::FactorOnce => {
-                self.run_factor_once(&system, ws, n_steps, &mut times, &mut solutions)?;
+                self.run_factor_once(&system, ws, n_steps, &mut rec)?;
                 KernelStrategy::FactorOnce
             }
-            KernelStrategy::Sparse => {
-                self.run_sparse(&system, ws, n_steps, &mut times, &mut solutions)?
-            }
+            KernelStrategy::Sparse => self.run_sparse(&system, ws, n_steps, &mut rec)?,
             KernelStrategy::SplitStamp => {
-                self.run_split_stamp(&system, ws, n_steps, &mut times, &mut solutions)?;
+                self.run_split_stamp(&system, ws, n_steps, &mut rec)?;
                 KernelStrategy::SplitStamp
             }
             KernelStrategy::LegacyFull => {
-                self.run_legacy(&system, ws, n_steps, &mut times, &mut solutions)?;
+                self.run_legacy(&system, ws, n_steps, &mut rec)?;
                 KernelStrategy::LegacyFull
             }
             KernelStrategy::Auto => unreachable!("Auto was resolved above"),
@@ -477,8 +559,8 @@ impl TransientAnalysis {
             .collect();
 
         Ok(TransientResult {
-            times,
-            solutions,
+            times: rec.times,
+            solutions: rec.solutions,
             stride: n,
             system,
             node_names,
@@ -496,8 +578,7 @@ impl TransientAnalysis {
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        rec: &mut Recorder,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -514,8 +595,9 @@ impl TransientAnalysis {
             system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs);
             ws.lu.solve_into(&ws.rhs, &mut ws.x_new);
             ws.prev_x.copy_from_slice(&ws.x_new);
-            times.push(t);
-            solutions.extend_from_slice(&ws.x_new);
+            if rec.record(system, t, &ws.x_new) {
+                break;
+            }
         }
         Ok(())
     }
@@ -541,8 +623,7 @@ impl TransientAnalysis {
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        rec: &mut Recorder,
     ) -> Result<KernelStrategy, SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -557,7 +638,7 @@ impl TransientAnalysis {
             // Near-singular (or unfactorable) sparse stamp: degrade to the
             // dense partial-pivoting LU, whose row exchanges on the full
             // matrix handle what the sparsity-constrained pivoting cannot.
-            self.run_factor_once(system, ws, n_steps, times, solutions)?;
+            self.run_factor_once(system, ws, n_steps, rec)?;
             return Ok(KernelStrategy::FactorOnce);
         }
 
@@ -567,8 +648,9 @@ impl TransientAnalysis {
             system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs);
             ws.sparse_lu.solve_into(&ws.rhs, &mut ws.x_new);
             ws.prev_x.copy_from_slice(&ws.x_new);
-            times.push(t);
-            solutions.extend_from_slice(&ws.x_new);
+            if rec.record(system, t, &ws.x_new) {
+                break;
+            }
         }
         Ok(KernelStrategy::Sparse)
     }
@@ -585,8 +667,7 @@ impl TransientAnalysis {
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        rec: &mut Recorder,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -606,9 +687,9 @@ impl TransientAnalysis {
             && ws.static_matrix.factor_into(&mut ws.lu).is_ok()
             && ws.lu.pivot_extremes().0 >= 1e-9 * ws.static_matrix.max_abs();
         if use_rank_update {
-            self.run_rank_update(system, ws, &rows, n_steps, times, solutions)
+            self.run_rank_update(system, ws, &rows, n_steps, rec)
         } else {
-            self.run_split_refactor(system, ws, n_steps, times, solutions)
+            self.run_split_refactor(system, ws, n_steps, rec)
         }
     }
 
@@ -623,8 +704,7 @@ impl TransientAnalysis {
         ws: &mut TransientWorkspace,
         rows: &[usize],
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        rec: &mut Recorder,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -743,8 +823,9 @@ impl TransientAnalysis {
             }
             ws.prev2_x.copy_from_slice(&ws.prev_x);
             ws.prev_x.copy_from_slice(&ws.guess);
-            times.push(t);
-            solutions.extend_from_slice(&ws.guess);
+            if rec.record(system, t, &ws.guess) {
+                break;
+            }
         }
         Ok(())
     }
@@ -757,8 +838,7 @@ impl TransientAnalysis {
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        rec: &mut Recorder,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -819,8 +899,9 @@ impl TransientAnalysis {
             }
             ws.prev2_x.copy_from_slice(&ws.prev_x);
             ws.prev_x.copy_from_slice(&ws.guess);
-            times.push(t);
-            solutions.extend_from_slice(&ws.guess);
+            if rec.record(system, t, &ws.guess) {
+                break;
+            }
         }
         Ok(())
     }
@@ -833,8 +914,7 @@ impl TransientAnalysis {
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        rec: &mut Recorder,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -882,9 +962,11 @@ impl TransientAnalysis {
                 });
             }
             system.update_capacitor_currents(h, method, &guess, &prev_x, &mut cap_currents);
+            let stop = rec.record(system, t, &guess);
             x = guess;
-            times.push(t);
-            solutions.extend_from_slice(&x);
+            if stop {
+                break;
+            }
         }
         Ok(())
     }
